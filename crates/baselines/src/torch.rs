@@ -308,10 +308,15 @@ fn batch_fetcher<D: Dataset>(sh: Arc<Shared<D>>, w: usize) {
         let t0 = Instant::now();
         let mut batch = Batch::with_capacity(sh.plan[batch_idx].len());
         for ticket in &sh.plan[batch_idx] {
-            match fetch_one(&sh, *ticket) {
+            // A panicking dataset or transform costs its sample, not the
+            // worker: a dead worker would never hand in this batch, and
+            // the in-order collector would wait for it forever.
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetch_one(&sh, *ticket)));
+            match caught {
                 Ok(Some(p)) => batch.push(p),
                 Ok(None) => {} // Skipped (error recorded).
-                Err(()) => break,
+                Err(payload) => record_error(&sh, LoaderError::panicked(&*payload)),
             }
         }
         sh.cpu_meter.add_busy(t0.elapsed());
@@ -324,15 +329,17 @@ fn batch_fetcher<D: Dataset>(sh: Arc<Shared<D>>, w: usize) {
     }
 }
 
+/// Loads and preprocesses one sample; `None` when it failed (the error
+/// is recorded).
 fn fetch_one<D: Dataset>(
     sh: &Shared<D>,
     ticket: minato_core::dataset::SampleTicket,
-) -> std::result::Result<Option<Prepared<D::Sample>>, ()> {
+) -> Option<Prepared<D::Sample>> {
     let raw = match sh.dataset.load(ticket.index) {
         Ok(r) => r,
         Err(e) => {
             record_error(sh, e);
-            return Ok(None);
+            return None;
         }
     };
     let bytes = sh.dataset.size_hint_bytes(ticket.index).unwrap_or(0);
@@ -356,11 +363,11 @@ fn fetch_one<D: Dataset>(
             }
             Err(e) => {
                 record_error(sh, e);
-                return Ok(None);
+                return None;
             }
         }
     }
-    Ok(Some(Prepared {
+    Some(Prepared {
         sample: value,
         meta: SampleMeta {
             index: ticket.index,
@@ -371,7 +378,7 @@ fn fetch_one<D: Dataset>(
             bytes,
             issued_ns: 0,
         },
-    }))
+    })
 }
 
 fn record_error<D: Dataset>(sh: &Shared<D>, e: LoaderError) {
@@ -570,6 +577,44 @@ mod tests {
         assert_eq!(total, 11);
         assert_eq!(loader.errors(), 1);
         assert!(loader.first_error().is_some());
+    }
+
+    #[test]
+    fn panicking_transform_is_recorded_and_the_rest_delivered() {
+        let ds = VecDataset::new((0..40u32).collect::<Vec<_>>());
+        let p = Pipeline::new(vec![fn_transform("panic-on-7", |x: u32| {
+            assert!(!x.is_multiple_of(7) || x == 0, "injected panic on {x}");
+            Ok(x)
+        })]);
+        let loader = Arc::new(
+            TorchLoader::new(
+                ds,
+                p,
+                TorchConfig {
+                    batch_size: 4,
+                    num_workers: 3,
+                    shuffle: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap(),
+        );
+        // A dead worker would leave the consumer blocked forever: drain
+        // on a detached thread and bound the wait.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumer = Arc::clone(&loader);
+        std::thread::spawn(move || {
+            let got: Vec<u32> = consumer.iter().flat_map(|b| b.into_samples()).collect();
+            let _ = tx.send(got);
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("consumer finished despite the panicking transform");
+        let expected: Vec<u32> = (0..40).filter(|x| x % 7 != 0 || *x == 0).collect();
+        assert_eq!(got, expected);
+        assert_eq!(loader.errors(), 5, "7, 14, 21, 28 and 35 panicked");
+        let err = loader.first_error().expect("panic recorded");
+        assert!(err.to_string().contains("injected panic"), "got: {err}");
     }
 
     #[test]

@@ -345,9 +345,11 @@ pub struct ExecElasticReport {
 ///
 /// `phase_shift = false` is the balanced workload (an even 20% of
 /// samples are slow, light enough for one slow worker); `true` is the
-/// fig12-style shift — the second half of the run turns 80% slow, so a
-/// fixed pool bottlenecks on its single background worker while parked
-/// fast capacity idles.
+/// fig12-style shift — the second half of the run turns 80% slow. The
+/// fixed pool's single background worker carries that backlog alone
+/// until the sampler drains (its fast workers only help afterwards, and
+/// its batch thread never does); the role-fluid pool moves capacity to
+/// the slow role as soon as the backlog builds.
 pub fn exec_elastic_run(elastic: bool, phase_shift: bool) -> ExecElasticReport {
     const N: u32 = 160;
     const THREADS: usize = 5; // = 3 fast + 1 slow + 1 batch (fixed arm).
@@ -383,9 +385,9 @@ pub fn exec_elastic_run(elastic: bool, phase_shift: bool) -> ExecElasticReport {
         .max_workers(3)
         .slow_workers(1)
         .batch_workers(1)
-        // Large enough that the temp queue never fills: the fixed arm
-        // must bottleneck on its dedicated slow worker, not dissolve
-        // into backpressure helping.
+        // Large enough that the temp queue never fills: the fixed arm's
+        // fast workers must not join the slow work early through
+        // backpressure helping.
         .queue_capacity(N as usize * 2)
         .ticket_chunk(4)
         .timeout_policy(TimeoutPolicy::Fixed(Duration::from_millis(1)))

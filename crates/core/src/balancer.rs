@@ -13,6 +13,19 @@
 //!    90th percentile.
 //! 4. **Continuous adjustment.** Profiling keeps running during training;
 //!    the timeout is recomputed every `refresh_every` completions.
+//!
+//! **Which interval the cutoff covers.** Profiled times are pipeline
+//! run times: from the first transform to the last, with the dataset
+//! load excluded. The cutoff is enforced on that same interval — the
+//! fast path's deadline starts when the pipeline run starts (see
+//! [`TransformCtx::with_timeout`](crate::transform::TransformCtx::with_timeout)),
+//! not before the load. Enforcing a pipeline-time percentile on load +
+//! pipeline would flag far more than the slowest quarter whenever loads
+//! cost a noticeable share of a sample.
+//!
+//! Deferred samples are completed by the slow workers and, once the
+//! sampler is drained, by the fast workers too: at the epoch tail every
+//! fast worker helps drain the deferred backlog instead of exiting.
 
 use crate::profiler::{Profiler, SampleRecord};
 use minato_metrics::Counter;

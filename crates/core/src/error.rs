@@ -45,6 +45,22 @@ impl fmt::Display for LoaderError {
 
 impl std::error::Error for LoaderError {}
 
+impl LoaderError {
+    /// The error recorded for a sample whose dataset load or transform
+    /// panicked, carrying the panic message from the caught `payload`.
+    pub fn panicked(payload: &(dyn std::any::Any + Send)) -> LoaderError {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".into());
+        LoaderError::Transform {
+            name: "panicked".into(),
+            msg,
+        }
+    }
+}
+
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, LoaderError>;
 
@@ -69,6 +85,18 @@ mod tests {
         assert!(LoaderError::Checkpoint("stale".into())
             .to_string()
             .contains("checkpoint error: stale"));
+    }
+
+    #[test]
+    fn panicked_carries_the_panic_message() {
+        let caught = std::panic::catch_unwind(|| panic!("boom {}", 7)).unwrap_err();
+        assert!(LoaderError::panicked(&*caught)
+            .to_string()
+            .contains("boom 7"));
+        let caught = std::panic::catch_unwind(|| panic!("static")).unwrap_err();
+        assert!(LoaderError::panicked(&*caught)
+            .to_string()
+            .contains("static"));
     }
 
     #[test]

@@ -1677,8 +1677,9 @@ fn monitor_loop<D: Dataset>(
                     Some((registry, id)) => registry.clamp_limit(*id, limit),
                     None => limit,
                 };
-                // Backlog per slow worker per claim burst — capacity-
-                // independent, unlike the raw temp-queue fill fraction.
+                // Backlog per slow worker in `ticket_chunk` units —
+                // capacity-independent, unlike the raw temp-queue fill
+                // fraction.
                 let backlog = rt.temp_q.len() as f64
                     / (rt.cfg.ticket_chunk.max(1) * budgets.slow.max(1)) as f64;
                 let fast_active = !rt.source_drained.load(Ordering::SeqCst);

@@ -152,6 +152,10 @@ pub trait StageObserver: Send + Sync + std::fmt::Debug {
 #[derive(Debug, Clone)]
 pub struct TransformCtx {
     deadline: Option<Instant>,
+    /// Relative deadline, turned into `deadline` when
+    /// [`Pipeline::run_ctx`] starts, so the cutoff covers exactly the
+    /// interval the run reports as `elapsed`.
+    budget: Option<Duration>,
     /// Speed multiplier applied by accelerator-offloaded execution
     /// (the DALI baseline divides synthetic compute cost by this; CPU
     /// execution uses 1.0).
@@ -208,6 +212,7 @@ impl TransformCtx {
     fn base(deadline: Option<Instant>) -> TransformCtx {
         TransformCtx {
             deadline,
+            budget: None,
             speedup: 1.0,
             pools: None,
             in_place: false,
@@ -233,6 +238,20 @@ impl TransformCtx {
     /// Context that expires at `deadline`.
     pub fn with_deadline(deadline: Instant) -> TransformCtx {
         TransformCtx::base(Some(deadline))
+    }
+
+    /// Context that expires `budget` after [`Pipeline::run_ctx`] starts
+    /// its first transform. The deadline and the run's reported
+    /// `elapsed` then share one clock start, so a cutoff profiled on
+    /// pipeline time is enforced on pipeline time only — not on
+    /// whatever the caller did between building the context and running
+    /// it (a dataset load, say). Until a run starts, the context has no
+    /// deadline.
+    pub fn with_timeout(budget: Duration) -> TransformCtx {
+        TransformCtx {
+            budget: Some(budget),
+            ..TransformCtx::base(None)
+        }
     }
 
     /// Returns a copy with the accelerator speedup set.
@@ -653,7 +672,7 @@ impl<T: Send + 'static> Pipeline<T> {
         timeout: Option<Duration>,
     ) -> Result<PipelineRun<T>> {
         let ctx = match timeout {
-            Some(t) => TransformCtx::with_deadline(Instant::now() + t),
+            Some(t) => TransformCtx::with_timeout(t),
             None => TransformCtx::unbounded(),
         };
         self.run_ctx(start_at, input, ctx)
@@ -671,8 +690,16 @@ impl<T: Send + 'static> Pipeline<T> {
     /// both modes: a completed step is never redone, and an interrupted
     /// step `i` (which left the sample in its input state, per the
     /// `apply_mut` contract) re-executes from `resume_at = i`.
-    pub fn run_ctx(&self, start_at: usize, input: T, ctx: TransformCtx) -> Result<PipelineRun<T>> {
+    pub fn run_ctx(
+        &self,
+        start_at: usize,
+        input: T,
+        mut ctx: TransformCtx,
+    ) -> Result<PipelineRun<T>> {
         let start = Instant::now();
+        if let Some(budget) = ctx.budget.take() {
+            ctx.deadline = Some(start + budget);
+        }
         let in_place = ctx.in_place();
         // The sample is owned directly: the by-value fallback moves it
         // into `apply` and reassigns from the outcome, so every exit path
@@ -856,6 +883,27 @@ mod tests {
             }
             PipelineRun::Completed { .. } => panic!("should time out"),
         }
+    }
+
+    #[test]
+    fn timeout_budget_starts_with_the_run() {
+        // Time spent between building the context and running it (a
+        // dataset load) must not count against a relative budget.
+        let p = Pipeline::new(vec![burn("a", 1, false), burn("b", 1, false)]);
+        let ctx = TransformCtx::with_timeout(Duration::from_millis(15));
+        assert_eq!(ctx.deadline(), None, "no deadline before the run");
+        std::thread::sleep(Duration::from_millis(30));
+        match p.run_ctx(0, 0, ctx).unwrap() {
+            PipelineRun::Completed { value, .. } => assert_eq!(value, 2),
+            PipelineRun::TimedOut { .. } => panic!("budget must start at the run"),
+        }
+        // An absolute deadline taken before the same wait has expired.
+        let ctx = TransformCtx::with_deadline(Instant::now() + Duration::from_millis(15));
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(matches!(
+            p.run_ctx(0, 0, ctx).unwrap(),
+            PipelineRun::TimedOut { resume_at: 1, .. }
+        ));
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! semantics — chunked ticket claims, reserve-then-publish batch
 //! delivery, cache admission, pooled in-place execution — byte for byte.
 //!
+//! The split is work-conserving at the epoch tail: once the sampler is
+//! drained, fast-role steps complete deferred samples from `temp_q`
+//! (see [`FastStep`]) instead of leaving the backlog to the slow role.
+//!
 //! Shutdown is a close cascade, never a hard stop: the fast role's
 //! `finish` closes `fast_q`/`temp_q` (normally `maybe_close_sources`
 //! already did), the slow role's `finish` closes `slow_q`, the batch
@@ -165,14 +169,6 @@ impl Drop for ScratchGuard {
     }
 }
 
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_payload_msg(p: Box<dyn std::any::Any + Send>) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".into())
-}
-
 /// The loader's role ids on its executor pool, set once at build time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecRoles {
@@ -225,9 +221,10 @@ pub(crate) struct Runtime<D: Dataset> {
     pub(crate) batch_help: OnceLock<Weak<BatchStep<D>>>,
     pub cfg: LoaderConfig,
     /// Tickets claimed from the sampler but not yet routed to a queue (or
-    /// dropped on error). Together with `source_drained`, this drives the
-    /// close cascade without depending on every pool worker exiting —
-    /// a worker parked by the scheduler must not stall completion.
+    /// dropped on error), plus deferred samples a fast-role worker is
+    /// completing inline. Together with `source_drained`, this drives
+    /// the close cascade without depending on every pool worker exiting
+    /// — a worker parked by the scheduler must not stall completion.
     pub in_flight: AtomicUsize,
     /// Set once any worker observes the sampler exhausted.
     pub source_drained: AtomicBool,
@@ -390,13 +387,17 @@ impl<D: Dataset> Runtime<D> {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Builds the per-run transform context — optional deadline, plus
+    /// Builds the per-run transform context — optional timeout, plus
     /// the buffer pools (which engage in-place execution) when pooling
     /// is on — paired with a [`ScratchGuard`] that repays un-recycled
     /// pool scratch if the run unwinds. `ledger` carries a deferred
     /// sample's existing ledger into its background resume; fresh runs
     /// pass `None` and get a new one. `epoch`/`seq` identify the sample
     /// on stage-observer callbacks when tracing is enabled.
+    ///
+    /// The timeout starts when the pipeline run does, not here: the
+    /// balancer profiles the run's own `elapsed`, so the cutoff must
+    /// bound that same interval and leave the dataset load out.
     fn guarded_ctx(
         &self,
         timeout: Option<Duration>,
@@ -405,7 +406,7 @@ impl<D: Dataset> Runtime<D> {
         seq: u64,
     ) -> (TransformCtx, ScratchGuard) {
         let ctx = match timeout {
-            Some(t) => TransformCtx::with_deadline(Instant::now() + t),
+            Some(t) => TransformCtx::with_timeout(t),
             None => TransformCtx::unbounded(),
         };
         let ctx = match &self.stage_obs {
@@ -503,12 +504,7 @@ impl<D: Dataset> Runtime<D> {
                 }
             }));
             let panicked = caught.is_err();
-            let run = caught.unwrap_or_else(|p| {
-                Err(LoaderError::Transform {
-                    name: "panicked".into(),
-                    msg: panic_payload_msg(p),
-                })
-            });
+            let run = caught.unwrap_or_else(|p| Err(LoaderError::panicked(&*p)));
             if run.is_err() && (attempt as usize) < self.cfg.retry_budget && !self.is_shutdown() {
                 // The failed attempt's guard drops here, repaying its
                 // un-recycled pool scratch before the re-run.
@@ -581,17 +577,30 @@ impl<D: Dataset> Runtime<D> {
         }
     }
 
+    /// Completes one deferred sample popped from the temp queue and
+    /// publishes it to the slow queue. Fails only when the slow queue
+    /// closed (shutdown).
+    fn resume_deferred(&self, d: Deferred<D::Sample>) -> Result<(), Closed> {
+        self.trace(EventKind::QueuePop, d.meta.epoch, d.meta.seq, Q_TEMP, 0);
+        match self.complete_one(d) {
+            Some(p) => {
+                self.trace(EventKind::QueuePut, p.meta.epoch, p.meta.seq, Q_SLOW, 0);
+                self.push_slow_completed(vec![p])
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Pops one deferred sample from the temp queue and completes it
     /// inline (a fast-role worker moonlighting as a slow worker under
-    /// backpressure). Returns whether anything was there to help with.
+    /// backpressure or at the epoch tail). Returns whether anything was
+    /// there to help with.
     fn help_slow_once(&self) -> bool {
         match self.temp_q.try_pop() {
             PopResult::Item(d) => {
-                self.trace(EventKind::QueuePop, d.meta.epoch, d.meta.seq, Q_TEMP, 0);
-                if let Some(p) = self.complete_one(d) {
-                    self.trace(EventKind::QueuePut, p.meta.epoch, p.meta.seq, Q_SLOW, 0);
-                    let _ = self.push_slow_completed(vec![p]);
-                }
+                // A closed slow queue means shutdown, which the caller
+                // observes at its next step.
+                let _ = self.resume_deferred(d);
                 true
             }
             _ => false,
@@ -670,7 +679,11 @@ impl<D: Dataset> Runtime<D> {
 /// Fast role: claims tickets in `ticket_chunk`-sized chunks, loads,
 /// preprocesses against the balancer's timeout, and routes to fast or
 /// temp queue (Algorithm 1 lines 6–12). One step = one chunk, so a
-/// worker re-bids for a role exactly at ticket-chunk boundaries.
+/// worker re-bids for a role exactly at ticket-chunk boundaries. The
+/// timeout bounds the pipeline run only, the interval the balancer
+/// profiles; the dataset load before it is not counted. Once the
+/// sampler is drained, a step completes one deferred sample instead
+/// (the epoch-tail drain, see `FastStep::drain_deferred`).
 ///
 /// Completed fast samples accumulate in a chunk-local buffer and enter
 /// the fast queue through one [`MinatoQueue::put_many`], so the dominant
@@ -685,6 +698,36 @@ pub(crate) struct FastStep<D: Dataset> {
 impl<D: Dataset> FastStep<D> {
     pub(crate) fn new(rt: Arc<Runtime<D>>) -> FastStep<D> {
         FastStep { rt }
+    }
+
+    /// The epoch tail: with the sampler drained, a fast-role step
+    /// completes one deferred sample instead of exiting, so the deferred
+    /// backlog is drained by every fast worker and not by the slow
+    /// workers alone. `Progress` while it helped, `Idle` (after a short
+    /// wait) while the temp queue is empty but other workers may still
+    /// defer into it, `Exhausted` once it is closed.
+    ///
+    /// The pop-complete-publish sequence runs under an `in_flight`
+    /// claim. While it is held `maybe_close_sources` does not close the
+    /// temp queue, and the slow role, which only exhausts once the temp
+    /// queue is closed and drained *and* nothing is in flight, cannot
+    /// close the slow queue under the sample in hand — even when a
+    /// closer that read `in_flight == 0` just before the claim closes
+    /// the temp queue anyway.
+    fn drain_deferred(&self) -> StepOutcome {
+        let rt = &*self.rt;
+        rt.in_flight.fetch_add(1, Ordering::SeqCst);
+        let helped = rt.help_slow_once();
+        rt.in_flight.fetch_sub(1, Ordering::SeqCst);
+        rt.maybe_close_sources();
+        if helped {
+            StepOutcome::Progress
+        } else if rt.temp_q.is_closed() {
+            StepOutcome::Exhausted
+        } else {
+            std::thread::sleep(rt.cfg.starvation_wait);
+            StepOutcome::Idle
+        }
     }
 }
 
@@ -702,21 +745,23 @@ impl<D: Dataset> RoleStep for FastStep<D> {
         if rt.checkpoint_pause.load(Ordering::Acquire) {
             return StepOutcome::Idle;
         }
+        if rt.source_drained.load(Ordering::SeqCst) {
+            return self.drain_deferred();
+        }
         let chunk = rt.cfg.ticket_chunk.max(1);
         // Claim accounting: raise `in_flight` *before* taking tickets so
         // a concurrent worker observing the drained sampler cannot close
         // the queues while these samples are between claim and routing.
         rt.in_flight.fetch_add(chunk, Ordering::SeqCst);
         let tickets = rt.sampler.next_many(chunk);
-        let drained = tickets.len() < chunk;
-        if drained {
+        if tickets.len() < chunk {
             rt.in_flight
                 .fetch_sub(chunk - tickets.len(), Ordering::SeqCst);
             rt.source_drained.store(true, Ordering::SeqCst);
         }
         if tickets.is_empty() {
             rt.maybe_close_sources();
-            return StepOutcome::Exhausted;
+            return self.drain_deferred();
         }
         let total = tickets.len();
         let mut processed = 0usize;
@@ -798,12 +843,7 @@ impl<D: Dataset> RoleStep for FastStep<D> {
                     rt.pipeline.run_ctx(0, raw, ctx)
                 }));
                 let panicked = caught.is_err();
-                let run = caught.unwrap_or_else(|p| {
-                    Err(LoaderError::Transform {
-                        name: "panicked".into(),
-                        msg: panic_payload_msg(p),
-                    })
-                });
+                let run = caught.unwrap_or_else(|p| Err(LoaderError::panicked(&*p)));
                 if run.is_err() && (attempt as usize) < rt.cfg.retry_budget && !rt.is_shutdown() {
                     // The failed attempt's guard drops here, repaying its
                     // un-recycled pool scratch before the re-run.
@@ -923,10 +963,10 @@ impl<D: Dataset> RoleStep for FastStep<D> {
             routed = false;
         }
         rt.maybe_close_sources();
-        if !routed || drained {
-            StepOutcome::Exhausted
-        } else {
+        if routed {
             StepOutcome::Progress
+        } else {
+            StepOutcome::Exhausted
         }
     }
 
@@ -941,16 +981,15 @@ impl<D: Dataset> RoleStep for FastStep<D> {
 
 /// Slow role: resumes deferred samples from their recorded transform
 /// index, without any timeout (Algorithm 1 lines 14–18). One step = one
-/// burst, so a worker re-bids after each slow-resume flush.
+/// deferred sample, so a worker re-bids after each completion.
 ///
-/// Deferred samples are claimed from the temp queue in bursts (one lock
-/// acquisition per burst) and completed results are flushed to the slow
-/// queue in groups — but never *withheld* to form a group: each
-/// completion attempts a non-blocking flush immediately, because sitting
-/// on a finished sample while the rest of the burst resumes (unbounded
-/// background work) would reintroduce exactly the head-of-line blocking
-/// this runtime exists to remove. Groups form only under back-pressure,
-/// when a full slow queue makes completions accumulate.
+/// Samples are claimed one at a time, never in bursts: slow work is
+/// longer than the cutoff by definition, so a queue operation per
+/// sample costs nothing next to it, while a claimed burst would sit
+/// unstarted behind the sample in progress. Other slow workers and,
+/// at the epoch tail, the fast workers would find the temp queue empty
+/// and idle, and the epoch would end on this worker's serial backlog.
+/// Each completion is published immediately.
 pub(crate) struct SlowStep<D: Dataset> {
     rt: Arc<Runtime<D>>,
     /// Bounded wait for deferred work before reporting idle: short on a
@@ -971,42 +1010,23 @@ impl<D: Dataset> RoleStep for SlowStep<D> {
         if rt.is_shutdown() {
             return StepOutcome::Exhausted;
         }
-        let chunk = rt.cfg.ticket_chunk.max(1);
-        let deferred = match rt.temp_q.pop_many_timeout(chunk, self.claim_wait) {
-            Ok(v) if v.is_empty() => return StepOutcome::Idle,
-            Ok(v) => v,
-            Err(Closed) => return StepOutcome::Exhausted, // Closed and drained.
+        let d = match rt.temp_q.pop_timeout(self.claim_wait) {
+            Ok(Some(d)) => d,
+            Ok(None) => return StepOutcome::Idle,
+            // Closed and drained, but a fast worker may still hold a
+            // deferred sample it popped (tail drain or backpressure
+            // helping) and will publish it here: keep the slow queue
+            // open until its `in_flight` claim is released.
+            Err(Closed) if rt.in_flight.load(Ordering::SeqCst) > 0 => {
+                std::thread::sleep(rt.cfg.starvation_wait);
+                return StepOutcome::Idle;
+            }
+            Err(Closed) => return StepOutcome::Exhausted,
         };
-        if rt.tracer.is_some() {
-            for d in &deferred {
-                rt.trace(EventKind::QueuePop, d.meta.epoch, d.meta.seq, Q_TEMP, 0);
-            }
+        match rt.resume_deferred(d) {
+            Ok(()) => StepOutcome::Progress,
+            Err(Closed) => StepOutcome::Exhausted,
         }
-        let mut done: Vec<Prepared<D::Sample>> = Vec::with_capacity(deferred.len());
-        for d in deferred {
-            if rt.is_shutdown() {
-                return StepOutcome::Exhausted;
-            }
-            if let Some(p) = rt.complete_one(d) {
-                // Record-once-before-retry: backpressure re-puts below
-                // must not duplicate the event.
-                rt.trace(EventKind::QueuePut, p.meta.epoch, p.meta.seq, Q_SLOW, 0);
-                done.push(p);
-                // Publish immediately if the slow queue has room;
-                // on back-pressure keep accumulating (bounded by the
-                // burst size) and let the next attempt or the final
-                // flush move the group at once.
-                match rt.slow_q.try_put_many(std::mem::take(&mut done)) {
-                    Ok(()) => {}
-                    Err(TryPutError::Full(rest)) => done = rest,
-                    Err(TryPutError::Closed(_)) => return StepOutcome::Exhausted,
-                }
-            }
-        }
-        if !done.is_empty() && rt.push_slow_completed(done).is_err() {
-            return StepOutcome::Exhausted; // Queue closed under us.
-        }
-        StepOutcome::Progress
     }
 
     fn finish(&self) {
@@ -1199,6 +1219,12 @@ impl<D: Dataset> BatchStep<D> {
         if pulled.is_empty() {
             if lane.fast_done && lane.slow_done {
                 return StepOutcome::Exhausted;
+            }
+            // On a role-fluid pool a worker with nothing to assemble
+            // re-bids at once instead of waiting here: another role (the
+            // slow backlog, above all) has work it can do meanwhile.
+            if rt.exec.config().elastic {
+                return StepOutcome::Idle;
             }
             // Not enough samples yet: wait briefly on whichever side can
             // still produce (Algorithm 1 line 28; the paper sleeps 10 ms,

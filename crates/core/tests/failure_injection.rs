@@ -251,6 +251,65 @@ fn shutdown_under_backpressure_is_clean() {
     }
 }
 
+/// Exactly-once under the tail drain: every sample is deferred, so the
+/// end of each run is fast-role workers completing deferred samples
+/// while the close cascade runs. A helper holding a deferred sample
+/// when the temp queue closes must still publish it before the slow
+/// queue closes. Many small loaders, sizes derived from the chaos seed,
+/// so the sweep lands the close at many different points.
+#[test]
+fn chaos_all_deferred_loaders_deliver_exactly_once() {
+    let mut state = chaos_seed() ^ 0x5EED_7A11;
+    for round in 0..12 {
+        for (mode, exec) in exec_modes() {
+            let n = 4 + (splitmix64(&mut state) % 36) as usize;
+            let batch = 1 + (splitmix64(&mut state) % 6) as usize;
+            let epochs = 1 + (splitmix64(&mut state) % 2) as usize;
+            let ds = VecDataset::new((0..n as u32).collect::<Vec<_>>());
+            // Two steps: the deadline check between them defers every
+            // sample with a resumable partial. The tail step takes a
+            // moment, so helpers are still holding samples when the
+            // temp queue closes.
+            let p = Pipeline::new(vec![
+                fn_transform("head", |x: u32| Ok(x)),
+                fn_transform("tail", |x: u32| {
+                    std::thread::sleep(Duration::from_micros(100));
+                    Ok(x)
+                }),
+            ]);
+            let loader = MinatoLoader::builder(ds, p)
+                .batch_size(batch)
+                .epochs(epochs)
+                .initial_workers(3)
+                .max_workers(3)
+                .slow_workers(1)
+                .ticket_chunk(1 + round % 3)
+                .timeout_policy(TimeoutPolicy::Fixed(Duration::from_nanos(1)))
+                .executor(exec)
+                .build()
+                .expect("valid configuration");
+            let mut seen = vec![0u32; n * epochs];
+            for b in loader.iter() {
+                for m in &b.meta {
+                    seen[m.epoch * n + m.index] += 1;
+                }
+            }
+            let tag = format!("[{mode} round {round} n={n} batch={batch} epochs={epochs}]");
+            assert!(
+                seen.iter().all(|&c| c == 1),
+                "{tag} each (epoch, index) exactly once: {seen:?}"
+            );
+            let stats = loader.stats();
+            assert_eq!(stats.errors, 0, "{tag}");
+            assert_eq!(
+                stats.slow_flagged,
+                (n * epochs) as u64,
+                "{tag} all deferred"
+            );
+        }
+    }
+}
+
 /// Injected fast-path panics: the quarantine count must equal the
 /// injection count exactly, and everything else must be delivered.
 #[test]

@@ -565,6 +565,14 @@ impl Drop for Executor {
             self.handle().shutdown();
         }
         self.join();
+        // With every worker gone no step can run again. Release the role
+        // table: a step typically owns state that holds an `ExecHandle`
+        // back to this pool (a loader runtime does), and the table entry
+        // would keep that cycle alive forever. Taken out first, so any
+        // step `Drop` runs without the table lock held. `join` alone
+        // keeps the table, so stats stay readable after a shutdown.
+        let roles = std::mem::take(&mut *self.shared.roles.lock());
+        drop(roles);
     }
 }
 
