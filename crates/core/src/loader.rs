@@ -1054,6 +1054,7 @@ impl<D: Dataset> MinatoLoader<D> {
             checkpoint_pause: AtomicBool::new(false),
             injector,
             shutdown: AtomicBool::new(false),
+            monitor: OnceLock::new(),
             started_at,
             transfer_hook,
             stage_obs: tracer
@@ -1519,8 +1520,7 @@ fn monitor_loop<D: Dataset>(
     let mut prev_pool_hits = 0u64;
     let mut prev_pool_lookups = 0u64;
     loop {
-        std::thread::sleep(interval);
-        if rt.shutdown.load(Ordering::Acquire) {
+        if rt.monitor_sleep(interval) {
             break;
         }
         let all_closed = rt.batch_qs.iter().all(|q| q.is_closed());
@@ -2098,6 +2098,32 @@ mod tests {
         let _ = it.next();
         drop(it);
         drop(loader); // Must not hang or panic.
+    }
+
+    #[test]
+    fn drop_does_not_wait_out_the_monitor_tick() {
+        // The monitor sleeps between ticks; shutdown must wake it
+        // rather than let the drop's join wait out the whole interval.
+        let ds = VecDataset::new((0..64u32).collect::<Vec<_>>());
+        let scheduler = SchedulerConfig {
+            interval: Duration::from_secs(10),
+            ..SchedulerConfig::paper_default(2)
+        };
+        let loader = MinatoLoader::builder(ds, Pipeline::identity())
+            .initial_workers(1)
+            .max_workers(2)
+            .scheduler(scheduler)
+            .build()
+            .expect("loader builds");
+        // Wait until the monitor has registered for its first sleep,
+        // so the drop must wake it rather than beat it to the check.
+        while loader.rt.monitor.get().is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        drop(loader);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "drop took {took:?}");
     }
 
     #[test]

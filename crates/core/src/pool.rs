@@ -16,6 +16,13 @@
 //!   type), closing the recycle loop — steady state, sample memory
 //!   recirculates instead of churning through malloc/free.
 //!
+//! The pool keeps a returned buffer only where an acquire will take it
+//! back (see [`minato_pool`]'s retention rule): with a cropping
+//! pipeline, the crop outputs that dropped batches return are kept for
+//! the next crops, while the source volumes the crop discards and the
+//! cache-hit copies go back to the allocator. Resident pool memory thus
+//! tracks the samples in flight, not the budget.
+//!
 //! Interaction with the cross-epoch sample cache: the cache stores
 //! *clones* of delivered samples (fresh heap memory counted by the
 //! cache's own byte budget), never the pool-backed buffers themselves,
@@ -83,6 +90,7 @@ mod tests {
     fn pool_recycler_routes_through_reclaim() {
         let pools = Arc::new(PoolSet::new(1 << 20));
         let r = PoolRecycler::new(Arc::clone(&pools));
+        let _out = pools.f32s().acquire(256); // Demand for the return.
         SampleRecycler::<Vec<f32>>::reclaim(&r, vec![0.0; 256]);
         assert_eq!(pools.stats().f32s.recycled, 1);
     }

@@ -43,7 +43,7 @@ use minato_metrics::{Counter, Reservoir, UtilizationMeter};
 use minato_trace::{EventKind, Tracer};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -258,6 +258,9 @@ pub(crate) struct Runtime<D: Dataset> {
     /// production default) costs one branch per sample.
     pub injector: Option<Arc<dyn FaultInjector>>,
     pub shutdown: AtomicBool,
+    /// The monitor thread, unparked by [`Runtime::initiate_shutdown`]
+    /// so a dropped loader does not wait out the monitor's tick.
+    pub monitor: OnceLock<std::thread::Thread>,
     pub started_at: Instant,
     /// Optional device-transfer prefetch hook (§4.3's CUDA stream).
     pub transfer_hook: Option<Arc<dyn TransferHook<D::Sample>>>,
@@ -363,6 +366,12 @@ impl<D: Dataset> Runtime<D> {
     /// tenants keep running).
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        // Pairs with the fence in `monitor_sleep`: either the monitor
+        // sees the flag, or this sees its handle and unparks it.
+        fence(Ordering::SeqCst);
+        if let Some(monitor) = self.monitor.get() {
+            monitor.unpark();
+        }
         self.fast_q.close();
         self.slow_q.close();
         self.temp_q.close();
@@ -385,6 +394,24 @@ impl<D: Dataset> Runtime<D> {
 
     pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Sleeps for `interval` on the monitor thread, returning early —
+    /// with `true` — once shutdown is initiated. A shutdown that lands
+    /// before the park leaves the unpark token behind, so the park
+    /// returns at once; spurious wake-ups re-park until the tick is due.
+    pub(crate) fn monitor_sleep(&self, interval: Duration) -> bool {
+        let _ = self.monitor.set(std::thread::current());
+        fence(Ordering::SeqCst);
+        let due = Instant::now() + interval;
+        while !self.is_shutdown() {
+            let now = Instant::now();
+            if now >= due {
+                return false;
+            }
+            std::thread::park_timeout(due - now);
+        }
+        true
     }
 
     /// Builds the per-run transform context — optional timeout, plus
@@ -1457,6 +1484,7 @@ mod tests {
             checkpoint_pause: AtomicBool::new(false),
             injector: None,
             shutdown: AtomicBool::new(false),
+            monitor: OnceLock::new(),
             started_at: Instant::now(),
             transfer_hook: None,
             tracer: None,

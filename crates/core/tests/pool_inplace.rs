@@ -356,6 +356,13 @@ fn custom_recycler_observes_dropped_samples() {
 #[test]
 fn reclaim_impls_route_buffers() {
     let pools = PoolSet::new(1 << 20);
+    // Buffers out of each class the returns below land in: the pool
+    // keeps a return only where an acquire is outstanding.
+    let _out = (
+        pools.f32s().acquire(128),
+        pools.u8s().acquire(128),
+        pools.u8s().acquire(64),
+    );
     vec![1.0f32; 128].reclaim(&pools);
     vec![7u8; 128].reclaim(&pools);
     String::from("0123456789_0123456789_0123456789_0123456789_0123456789_0123456789")
@@ -463,4 +470,83 @@ fn slow_path_resumes_in_place_under_pool() {
     }
     assert!(seen.iter().all(|&c| c == 1), "every sample exactly once");
     assert!(slow_flags >= 5, "heavy samples deferred: {slow_flags}");
+}
+
+/// Deflationary stage: keeps the first `len` elements. The in-place
+/// path writes them into a pool-drawn buffer and recycles the source —
+/// the `RandomCrop` pattern of the volumetric pipeline.
+struct CropTo {
+    len: usize,
+}
+
+impl Transform<Vec<f32>> for CropTo {
+    fn name(&self) -> &str {
+        "crop"
+    }
+
+    fn apply(&self, v: Vec<f32>, _ctx: &TransformCtx) -> Result<Outcome<Vec<f32>>> {
+        Ok(Outcome::Done(v[..self.len].to_vec()))
+    }
+
+    fn apply_mut(&self, v: &mut Vec<f32>, ctx: &TransformCtx) -> Result<InPlace> {
+        let mut out = ctx.acquire_f32(self.len);
+        out.copy_from_slice(&v[..self.len]);
+        ctx.recycle_f32(std::mem::replace(v, out));
+        Ok(InPlace::Done)
+    }
+
+    fn cost_class(&self) -> CostClass {
+        CostClass::Deflationary
+    }
+}
+
+/// The pool keeps what the crop will ask for again — its own returned
+/// outputs — and frees what nobody acquires: the mixed-size sources the
+/// crop discards and the cache-hit copies. Retaining every return until
+/// the budget is full instead fills the pool with the latter, so the
+/// crop keeps allocating while megabytes sit idle.
+#[test]
+fn pool_keeps_only_buffers_an_acquire_takes_back() {
+    const N: usize = 512;
+    const CROP: usize = 1000;
+    let source_len = |i: usize| 1700 + (i * 7919) % 8300;
+    let ds = FnDataset::new(N, move |i| Ok(sample(source_len(i), i as u64 + 1)));
+    let epochs = 5;
+    let loader = MinatoLoader::builder(
+        ds,
+        Pipeline::new(vec![
+            Arc::new(CropTo { len: CROP }) as Arc<dyn Transform<Vec<f32>>>
+        ]),
+    )
+    .batch_size(16)
+    .epochs(epochs)
+    .seed(3)
+    .initial_workers(2)
+    .max_workers(2)
+    .timeout_policy(TimeoutPolicy::Disabled)
+    .pool_budget_bytes(8 << 20)
+    .cache_budget_bytes((N * CROP * 4 / 2) as u64)
+    .cache_weigher(|s: &Vec<f32>| (s.len() * 4) as u64)
+    .build()
+    .expect("valid configuration");
+    let mut delivered = 0usize;
+    for b in loader.iter() {
+        assert!(b.samples.iter().all(|s| s.len() == CROP));
+        delivered += b.len();
+        // Batch dropped here: the crop outputs and cache copies return.
+    }
+    assert_eq!(delivered, N * epochs);
+    let stats = loader.stats();
+    assert!(stats.cache.expect("cache on").hits > 0);
+    let pool = stats.pool.expect("pool on").combined();
+    assert!(
+        pool.hit_rate() >= 0.9,
+        "the crop must run on returned outputs: hit rate {:.3} ({pool:?})",
+        pool.hit_rate()
+    );
+    assert!(
+        pool.bytes <= 2 << 20,
+        "the pool must not hoard unrequested buffers: {} bytes ({pool:?})",
+        pool.bytes
+    );
 }

@@ -500,6 +500,15 @@ mod tests {
             _ => panic!("no deadline"),
         };
         let pools = std::sync::Arc::new(PoolSet::new(64 << 20));
+        // The dataset side draws each source volume's buffers from the
+        // pool; that outstanding demand is what the crop's recycle of its
+        // input fills.
+        let acquire_src = || {
+            (
+                pools.f32s().acquire(16 * 16 * 16),
+                pools.u8s().acquire(16 * 16 * 16),
+            )
+        };
         let run_pooled = || {
             let ctx = TransformCtx::unbounded().with_pool(std::sync::Arc::clone(&pools));
             match p.run_ctx(0, vol([16, 16, 16]), ctx).unwrap() {
@@ -507,6 +516,7 @@ mod tests {
                 _ => panic!("no deadline"),
             }
         };
+        let _src = acquire_src();
         let pooled = run_pooled();
         assert_eq!(pooled, by_value, "in-place path must be byte-identical");
         let first = pools.stats().combined();
@@ -516,11 +526,14 @@ mod tests {
         // then come from pooled memory instead of the allocator.
         use minato_core::pool::Reclaim;
         pooled.reclaim(&pools);
+        let _src = acquire_src();
+        // Counted from here, the hits are the crop's own acquires.
+        let before_crop = pools.stats();
         let again = run_pooled();
         assert_eq!(again, by_value);
-        let second = pools.stats().combined();
+        let second = pools.stats();
         assert!(
-            second.hits > first.hits,
+            second.f32s.hits > before_crop.f32s.hits && second.u8s.hits > before_crop.u8s.hits,
             "steady state must serve crop outputs from the pool"
         );
     }
@@ -529,6 +542,7 @@ mod tests {
     fn reclaim_returns_both_payloads() {
         use minato_core::pool::{PoolSet, Reclaim};
         let pools = PoolSet::new(1 << 20);
+        let _out = (pools.f32s().acquire(512), pools.u8s().acquire(512)); // Demand.
         vol([8, 8, 8]).reclaim(&pools);
         let s = pools.stats();
         assert_eq!(s.f32s.recycled, 1);

@@ -10,9 +10,22 @@
 //! pipeline pattern) round-trips through thread-local storage without
 //! touching a lock.
 //!
-//! Byte accounting covers the shared stripes only — thread-local slots
-//! are bounded at one buffer per class per thread and are intentionally
-//! outside the budget (they are the pool's L1, not its capacity).
+//! Retention is bounded by demand: each class counts the buffers it has
+//! handed out (fast-slot hit, stripe hit or fresh allocation) and not
+//! yet taken back. A returned buffer is kept — in the caller's fast slot
+//! or a stripe — only while its class's count is positive, and keeping
+//! it decrements the count; otherwise it is freed and counted as
+//! `dropped`. A class therefore never holds more buffers than it has
+//! allocated, and buffers of a size nobody acquires (a crop's source
+//! volume, a cache copy of odd capacity) go straight back to the
+//! allocator instead of squatting on the budget. An acquire larger
+//! than the largest class counts against the largest class, which is
+//! where its buffer is filed when it comes back.
+//!
+//! The byte budgets stay upper caps on top of that rule. Byte accounting
+//! covers the shared stripes only — thread-local slots are bounded at
+//! one buffer per class per thread and are intentionally outside the
+//! budget (they are the pool's L1, not its capacity).
 
 use parking_lot::Mutex;
 use std::any::Any;
@@ -90,8 +103,10 @@ pub struct PoolStats {
     pub tl_hits: u64,
     /// Buffers accepted back into the pool.
     pub recycled: u64,
-    /// Buffers rejected on return (budget exceeded, too small, or pool
-    /// disabled) and released to the allocator instead.
+    /// Buffers released to the allocator on return instead of kept: no
+    /// acquire from their size class was outstanding, the byte budget
+    /// was full, the buffer was smaller than the smallest class, or the
+    /// pool is disabled.
     pub dropped: u64,
     /// Bytes currently resident in the shared free-lists. This is the
     /// steady-state working set the pool holds between samples.
@@ -132,16 +147,34 @@ struct SizeClass<T> {
     /// Every buffer stored in this class has `capacity() >= cap_elems`.
     cap_elems: usize,
     bytes: AtomicU64,
+    /// Buffers handed out from this class and not yet taken back: how
+    /// many more returns the class may keep.
+    demand: AtomicUsize,
     stripes: Vec<Mutex<Vec<Vec<T>>>>,
+}
+
+impl<T> SizeClass<T> {
+    /// Takes one unit of demand; `false` when nothing is outstanding.
+    ///
+    /// `demand` is a quota that publishes no other data (buffers travel
+    /// through the stripe locks and fast slots), and read-modify-writes
+    /// on one atomic are totally ordered, so `Relaxed` keeps the count
+    /// exact.
+    fn claim_demand(&self) -> bool {
+        self.demand
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1))
+            .is_ok()
+    }
 }
 
 /// A size-classed, lock-striped pool of `Vec<T>` buffers.
 ///
 /// `acquire` hands out a cleared buffer with at least the requested
-/// capacity; `recycle` takes any buffer back, clears it, and files it
-/// under the largest class it can serve (or drops it if the budget is
-/// full). Buffers allocated on a miss are sized to the class capacity,
-/// so recycled memory keeps fitting the class it came from.
+/// capacity; `recycle` takes a buffer back, clears it, and files it
+/// under the largest class it can serve — if that class has a buffer
+/// outstanding to replace and the budget has room; otherwise it drops
+/// it. Buffers allocated on a miss are sized to the class capacity, so
+/// recycled memory keeps fitting the class it came from.
 pub struct BufferPool<T: Send + 'static> {
     id: u64,
     cfg: PoolConfig,
@@ -242,6 +275,7 @@ impl<T: Send + 'static> BufferPool<T> {
             .map(|i| SizeClass {
                 cap_elems: cfg.min_class_elems << i,
                 bytes: AtomicU64::new(0),
+                demand: AtomicUsize::new(0),
                 stripes: (0..cfg.stripes).map(|_| Mutex::new(Vec::new())).collect(),
             })
             .collect();
@@ -302,10 +336,19 @@ impl<T: Send + 'static> BufferPool<T> {
     /// Returns an *empty* buffer with `capacity() >= min_elems`, served
     /// from the free-lists when possible (thread-local fast slot first,
     /// then the striped shared lists) and freshly allocated otherwise.
+    /// Either way the buffer counts as demand on its class until it is
+    /// recycled.
     // minato-verify: hot-path (Vec::with_capacity is the pool's one sanctioned allocation)
     pub fn acquire(&self, min_elems: usize) -> Vec<T> {
         if self.enabled() {
-            if let Some(ci) = self.class_for_acquire(min_elems) {
+            let ci = self.class_for_acquire(min_elems);
+            // An oversized buffer is filed under the largest class when
+            // it comes back, so that is where its demand goes.
+            let demand_class = ci.unwrap_or(self.classes.len() - 1);
+            self.classes[demand_class]
+                .demand
+                .fetch_add(1, Ordering::Relaxed);
+            if let Some(ci) = ci {
                 if self.cfg.thread_local_slots {
                     if let Some(buf) = tl_take::<T>(self.id, ci) {
                         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -368,7 +411,9 @@ impl<T: Send + 'static> BufferPool<T> {
     /// Takes a buffer back. The buffer is cleared and filed under the
     /// largest class its capacity can serve; it is dropped instead when
     /// the pool is disabled, the buffer is smaller than the smallest
-    /// class, or accepting it would exceed the class/global byte budget.
+    /// class, no buffer of that class is outstanding (nothing acquired
+    /// from it will come asking again), or accepting it would exceed the
+    /// class/global byte budget.
     // minato-verify: hot-path
     pub fn recycle(&self, mut buf: Vec<T>) {
         let cap = buf.capacity();
@@ -380,6 +425,11 @@ impl<T: Send + 'static> BufferPool<T> {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
+        let class = &self.classes[ci];
+        if !class.claim_demand() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         buf.clear();
         if self.cfg.thread_local_slots {
             match tl_put(self.id, ci, buf) {
@@ -394,7 +444,6 @@ impl<T: Send + 'static> BufferPool<T> {
         // Optimistic add, undo on overshoot: never lets `bytes` sit
         // above the budget from a concurrent observer's perspective by
         // more than the in-flight reservation being rolled back.
-        let class = &self.classes[ci];
         let global = self.bytes.fetch_add(sz, Ordering::AcqRel) + sz;
         if global > self.cfg.budget_bytes {
             self.bytes.fetch_sub(sz, Ordering::AcqRel);
@@ -605,6 +654,8 @@ mod tests {
         cfg.class_budget_bytes = 4096; // One 1024-elem f32 buffer.
         cfg.thread_local_slots = false;
         let p: BufferPool<f32> = BufferPool::new(cfg);
+        // Two buffers out of the class: demand for two returns.
+        let _out = (p.acquire(1024), p.acquire(1024));
         p.recycle(Vec::with_capacity(1024));
         p.recycle(Vec::with_capacity(1024));
         let s = p.stats();
@@ -633,6 +684,160 @@ mod tests {
         assert_eq!(p.stats().misses, 1);
         p.recycle(buf); // Still lands in the largest class.
         assert_eq!(p.stats().recycled, 1);
+    }
+
+    #[test]
+    fn recycle_into_a_class_never_acquired_from_is_dropped() {
+        for p in [pool(1 << 20), shared_pool(1 << 20)] {
+            p.recycle(Vec::with_capacity(1024));
+            let s = p.stats();
+            assert_eq!((s.recycled, s.dropped, s.bytes), (0, 1, 0), "{s:?}");
+            // Demand in another class does not open this one.
+            let _small = p.acquire(64);
+            p.recycle(Vec::with_capacity(1024));
+            assert_eq!((p.stats().recycled, p.stats().dropped), (0, 2));
+            // One outstanding acquire admits exactly one return.
+            let _out = p.acquire(1024);
+            p.recycle(Vec::with_capacity(1024));
+            p.recycle(Vec::with_capacity(1024));
+            assert_eq!((p.stats().recycled, p.stats().dropped), (1, 3));
+        }
+    }
+
+    #[test]
+    fn oversized_acquire_creates_demand_on_the_largest_class() {
+        let p = shared_pool(1 << 30);
+        let last = p.classes.len() - 1;
+        let max = p.classes[last].cap_elems;
+        let big = p.acquire(max + 1);
+        assert_eq!(p.classes[last].demand.load(Ordering::Relaxed), 1);
+        // The oversized buffer's return fills that demand, and the
+        // largest class then serves an ordinary acquire from it.
+        p.recycle(big);
+        assert_eq!(p.stats().recycled, 1);
+        assert_eq!(p.classes[last].demand.load(Ordering::Relaxed), 0);
+        p.recycle(Vec::with_capacity(max));
+        assert_eq!(p.stats().dropped, 1, "no demand left for a second buffer");
+        let again = p.acquire(max);
+        assert!(
+            again.capacity() > max,
+            "served the recycled oversized buffer"
+        );
+        assert_eq!(p.stats().hits, 1);
+    }
+
+    thread_local! {
+        /// Outcome of the calling thread's last acquire, set by
+        /// [`LastHit`].
+        static LAST_HIT: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
+    }
+
+    struct LastHit;
+
+    impl AcquireObserver for LastHit {
+        fn on_acquire(&self, hit: bool) {
+            LAST_HIT.with(|c| c.set(Some(hit)));
+        }
+    }
+
+    /// Four threads acquiring, holding, returning and returning foreign
+    /// buffers (never acquired, some oversized) across six classes.
+    /// Returns per class: (buffers held in stripes, demand, buffers the
+    /// class allocated).
+    fn demand_stress(thread_local_slots: bool) -> Vec<(usize, usize, usize)> {
+        use std::sync::Arc;
+        let mut cfg = PoolConfig::with_budget(64 << 20);
+        cfg.num_classes = 6; // 64 ..= 2048 elements.
+        cfg.thread_local_slots = thread_local_slots;
+        let p: Arc<BufferPool<f32>> = Arc::new(BufferPool::new(cfg));
+        p.set_observer(Arc::new(LastHit));
+        let allocated: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..p.classes.len()).map(|_| AtomicUsize::new(0)).collect());
+        let returns = Arc::new(AtomicU64::new(0));
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (p, allocated, returns) =
+                    (Arc::clone(&p), Arc::clone(&allocated), Arc::clone(&returns));
+                std::thread::spawn(move || {
+                    let mut state = 0x2545_F491_4F6C_DD1Du64 ^ (t + 1).wrapping_mul(0x9E37);
+                    let mut rng = move |n: u64| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state % n
+                    };
+                    let mut held: Vec<Vec<f32>> = Vec::new();
+                    for _ in 0..3000 {
+                        match rng(8) {
+                            0..=3 if held.len() < 4 => {
+                                // 48..=3000 elements: every class, plus
+                                // requests above the largest.
+                                let want = 48 + rng(2953) as usize;
+                                let ci = p.class_for_acquire(want).unwrap_or(p.classes.len() - 1);
+                                let mut b = p.acquire(want);
+                                if !LAST_HIT.with(|c| c.take()).expect("observed") {
+                                    allocated[ci].fetch_add(1, Ordering::Relaxed);
+                                }
+                                b.resize(want, 1.0);
+                                held.push(b);
+                            }
+                            4 => {
+                                let cap = 64 << rng(7);
+                                p.recycle(Vec::with_capacity(cap));
+                                returns.fetch_add(1, Ordering::Relaxed);
+                            }
+                            _ if !held.is_empty() => {
+                                let i = rng(held.len() as u64) as usize;
+                                p.recycle(held.swap_remove(i));
+                                returns.fetch_add(1, Ordering::Relaxed);
+                            }
+                            _ => {}
+                        }
+                    }
+                    for b in held {
+                        p.recycle(b);
+                        returns.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let s = p.stats();
+        assert_eq!(s.recycled + s.dropped, returns.load(Ordering::Relaxed));
+        p.classes
+            .iter()
+            .zip(allocated.iter())
+            .map(|(c, a)| {
+                let held = c.stripes.iter().map(|s| s.lock().len()).sum();
+                (
+                    held,
+                    c.demand.load(Ordering::Relaxed),
+                    a.load(Ordering::Relaxed),
+                )
+            })
+            .collect()
+        // The pool drops here; under `--cfg minato_lock_graph` its
+        // byte-accounting audit runs too.
+    }
+
+    #[test]
+    fn concurrent_stress_never_holds_more_than_a_class_handed_out() {
+        // Every buffer a class holds replaced one it handed out, and
+        // each one handed out is either back in the class or still owed
+        // as demand — foreign returns never add to it.
+        for (ci, (held, demand, allocated)) in demand_stress(false).into_iter().enumerate() {
+            assert_eq!(held + demand, allocated, "class {ci}");
+        }
+        // With fast slots, the buffers parked in the exited threads'
+        // slots are gone from the count.
+        for (ci, (held, demand, allocated)) in demand_stress(true).into_iter().enumerate() {
+            assert!(
+                held + demand <= allocated,
+                "class {ci}: {held} + {demand} > {allocated}"
+            );
+        }
     }
 
     #[test]

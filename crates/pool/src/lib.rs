@@ -10,7 +10,14 @@
 //!
 //! * [`BufferPool<T>`] — size-classed, lock-striped free-lists of raw
 //!   buffers with per-class byte budgets, thread-local fast slots, and
-//!   hit / miss / recycled / dropped counters.
+//!   hit / miss / recycled / dropped counters. Retention is bounded by
+//!   demand: a returned buffer is kept only if its size class has a
+//!   buffer out (acquired and not yet returned) that it can stand in
+//!   for, so the pool holds what its acquires will take back and never
+//!   more buffers per class than it has allocated. Everything else —
+//!   a crop's discarded source, a copy of a size nobody acquires — is
+//!   freed at once and counted in [`PoolStats::dropped`], as are returns
+//!   refused by the byte budgets, which stay upper caps.
 //! * [`Recycled`] (alias [`PoolGuard`]) — an RAII handle that derefs to
 //!   the underlying `Vec<T>` and returns the memory to its pool on drop.
 //! * [`PoolSet`] — the typed bundle (`f32` voxels/pixels/features plus

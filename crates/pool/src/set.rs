@@ -183,6 +183,12 @@ mod tests {
     #[test]
     fn reclaim_routes_buffers_by_type() {
         let s = PoolSet::new(1 << 20);
+        // Buffers out of both pools: demand for the returns below.
+        let _out = (
+            s.f32s().acquire(256),
+            s.f32s().acquire(256),
+            s.u8s().acquire(256),
+        );
         vec![0.0f32; 256].reclaim(&s);
         vec![0u8; 256].reclaim(&s);
         7u32.reclaim(&s);

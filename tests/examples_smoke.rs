@@ -203,8 +203,9 @@ fn memory_constrained_flow() {
 }
 
 /// `examples/pooled_hot_path.rs`: pooled in-place execution on the
-/// volumetric pipeline; the recycle loop must turn and delivery must
-/// match the unpooled loader sample for sample.
+/// volumetric pipeline; the recycle loop must turn, delivery must match
+/// the unpooled loader sample for sample, and the pool must stay bounded
+/// by what the crop asks for.
 #[test]
 fn pooled_hot_path_flow() {
     let n = 48usize;
@@ -215,6 +216,7 @@ fn pooled_hot_path_flow() {
         });
         let mut b = MinatoLoader::builder(dataset, segmentation_pipeline([8, 8, 8]))
             .batch_size(8)
+            .epochs(3)
             .seed(9)
             .initial_workers(2)
             .max_workers(3);
@@ -238,9 +240,26 @@ fn pooled_hot_path_flow() {
     let pooled = make(64 << 20);
     let got = collect(&pooled);
     assert_eq!(got, base, "pooling must not change delivered samples");
-    let ps = pooled.stats().pool.expect("pool on").combined();
+    let pools = pooled.stats().pool.expect("pool on");
+    let ps = pools.combined();
+    println!(
+        "pool: {:.1}% hit rate, {:.2} MiB resident",
+        ps.hit_rate() * 100.0,
+        ps.bytes as f64 / (1 << 20) as f64
+    );
     assert!(ps.recycled > 0, "recycle loop must turn: {ps:?}");
     assert!(ps.hits > 0, "steady state must reuse buffers: {ps:?}");
+    assert!(
+        ps.hit_rate() >= 0.5,
+        "crop runs on returned outputs: {ps:?}"
+    );
+    // Only crop outputs (8³ voxels, the 512-element class) are kept, at
+    // most as many as the crop allocated; the sources go back.
+    assert!(
+        pools.f32s.bytes <= pools.f32s.misses * 512 * 4
+            && pools.u8s.bytes <= pools.u8s.misses * 512,
+        "pool must stay bounded by the crop's demand: {pools:?}"
+    );
 }
 
 /// `examples/shared_executor.rs`: two loaders as tenants of one shared
